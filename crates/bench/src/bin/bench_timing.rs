@@ -4,8 +4,15 @@
 //! trajectory.
 //!
 //! ```sh
-//! cargo run --release -p tiptop-bench --bin bench_timing [-- [--check] [out.json]]
+//! cargo run --release -p tiptop-bench --bin bench_timing \
+//!     [-- [--check] [--only <experiment>]... [out.json]]
 //! ```
+//!
+//! `--only <experiment>` (repeatable) times just the named experiments, so
+//! one layer can be measured without the full sweep; an unknown name is a
+//! usage error. The [`cache_model`] micro-bench runs as the experiment
+//! `cache_model` and also writes its ns/access per stream (L1-resident,
+//! L3-resident, thrashing) into the JSON under `cache_model_ns_per_access`.
 //!
 //! With `--check` the harness also compares each experiment against its
 //! per-experiment wall-time budget (the release baseline recorded by the
@@ -27,6 +34,7 @@
 
 use std::time::Instant;
 
+use tiptop_bench::cache_model;
 use tiptop_bench::experiments::{
     fig01_snapshot, fig03_evolution, fig06_07_phases, fig08_ipc_vs_instructions, fig09_compilers,
     fig10_datacenter, fig11_interference, fleet, grid, pipelines, policy_lab, reactive, scaling,
@@ -37,25 +45,29 @@ use tiptop_bench::experiments::{
 /// (`BENCH_experiments.json`; `grid`, `reactive` and `tournament` from the
 /// PRs that introduced them — `reactive` pays for its run *plus* the
 /// scripted grid baseline it compares against, `tournament` for its four
-/// detector×mode cells). A budget breach means the experiment
-/// regressed by more than [`REGRESSION_ALLOWANCE`] against this trajectory.
-const BASELINE_SECONDS: [(&str, f64); 16] = [
+/// detector×mode cells). The six cache-bound experiments (`fig10`,
+/// `fig11`, `grid`, `reactive`, `tournament`, `policy_lab`) were since
+/// scaled by the median before/after ratio of the division-free cache
+/// sampling path, measured in alternating pairs on one host. A budget
+/// breach means the experiment regressed by more than
+/// [`REGRESSION_ALLOWANCE`] against this trajectory.
+const BASELINE_SECONDS: [(&str, f64); 17] = [
     ("fig01_snapshot", 0.400),
     ("table1_fp_micro", 0.002),
     ("fig03_evolution", 0.206),
     ("fig06_07_phases", 0.288),
     ("fig08_ipc_vs_insns", 0.069),
     ("fig09_compilers", 0.049),
-    ("fig10_datacenter", 3.454),
-    ("fig11_interference", 2.088),
+    ("fig10_datacenter", 2.232),
+    ("fig11_interference", 1.421),
     ("fleet", 0.078),
-    ("grid", 2.900),
-    ("reactive", 5.800),
-    ("tournament", 10.500),
+    ("grid", 1.956),
+    ("reactive", 3.820),
+    ("tournament", 6.815),
     // Nine policy×scenario cells; the three `fleet` cells carry four
-    // endless background jobs each, so the grid costs ~2.7× the
+    // endless background jobs each, so the grid costs ~2.6× the
     // tournament's four cells.
-    ("policy_lab", 29.240),
+    ("policy_lab", 17.580),
     // Four three-machine pipelines (chain, fan-out, shuffle, random DAG)
     // through the cluster's lockstep driver.
     ("pipelines", 0.020),
@@ -65,6 +77,10 @@ const BASELINE_SECONDS: [(&str, f64); 16] = [
     // merge and the per-machine memory diet still bring the whole curve in
     // under the old two-arm budget.
     ("scaling", 1.500),
+    // 3 × 500 timed epochs of 4096 sampled accesses, plus warm-up:
+    // 0.61–0.66 s on a 2-CPU host where `fig10_datacenter` takes ~1.6× its
+    // baseline, scaled down by that factor like the rest of this table.
+    ("cache_model", 0.400),
 ];
 
 /// The committed scaling curve; `--check` compares the fresh 100-machine
@@ -120,19 +136,43 @@ fn budget_for(name: &str) -> Option<f64> {
         .map(|(_, base)| base * (1.0 + REGRESSION_ALLOWANCE) + ABSOLUTE_SLACK_SECONDS)
 }
 
+const USAGE: &str = "usage: bench_timing [--check] [--only <experiment>]... [out.json]";
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("bench_timing: {msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
     let mut check = false;
+    let mut only: Vec<String> = Vec::new();
     let mut out_path = "BENCH_experiments.json".to_string();
-    for arg in std::env::args().skip(1) {
-        if arg == "--check" {
-            check = true;
-        } else {
-            out_path = arg;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--check" => check = true,
+            "--only" => match args.next() {
+                Some(name) => only.push(name),
+                None => usage_error("--only needs an experiment name"),
+            },
+            _ if arg.starts_with("--") => usage_error(&format!("unknown flag '{arg}'")),
+            _ => out_path = arg,
         }
+    }
+
+    if let Some(bad) = only.iter().find(|o| budget_for(o).is_none()) {
+        let names: Vec<&str> = BASELINE_SECONDS.iter().map(|(n, _)| *n).collect();
+        usage_error(&format!(
+            "unknown experiment '{bad}' (one of: {})",
+            names.join(", ")
+        ));
     }
 
     let mut entries: Vec<(&'static str, f64)> = Vec::new();
     let mut time = |name: &'static str, f: &mut dyn FnMut()| {
+        if !only.is_empty() && !only.iter().any(|o| o == name) {
+            return;
+        }
         let t0 = Instant::now();
         f();
         let dt = t0.elapsed().as_secs_f64();
@@ -191,15 +231,24 @@ fn main() {
     time("scaling", &mut || {
         scaling_result = Some(scaling::run(47));
     });
-    let scaling_result = scaling_result.expect("scaling ran");
-    eprintln!("{}", scaling_result.report());
+    let mut cache_model_result = None;
+    time("cache_model", &mut || {
+        cache_model_result = Some(cache_model::run(59, 500));
+    });
+    if let Some(r) = &cache_model_result {
+        eprintln!("{}", r.report());
+    }
 
+    // The scaling curve and its throughput gates exist only if it ran.
     let committed = std::fs::read_to_string(CLUSTER_JSON).ok();
     let prior_anchor_1t = committed.as_deref().and_then(|s| anchor_fps(s, 1));
     let prior_anchor_8t = committed.as_deref().and_then(|s| anchor_fps(s, 8));
-    if !check {
-        std::fs::write(CLUSTER_JSON, scaling_result.to_json()).expect("write cluster json");
-        println!("wrote {CLUSTER_JSON}");
+    if let Some(r) = &scaling_result {
+        eprintln!("{}", r.report());
+        if !check {
+            std::fs::write(CLUSTER_JSON, r.to_json()).expect("write cluster json");
+            println!("wrote {CLUSTER_JSON}");
+        }
     }
 
     let total: f64 = entries.iter().map(|(_, t)| t).sum();
@@ -218,6 +267,12 @@ fn main() {
         json.push_str(&format!("    \"{name}\": {t:.3}{comma}\n"));
     }
     json.push_str("  },\n");
+    if let Some(r) = &cache_model_result {
+        json.push_str(&format!(
+            "  \"cache_model_ns_per_access\": {},\n",
+            r.to_json()
+        ));
+    }
     json.push_str(&format!("  \"total_seconds\": {total:.3}\n}}\n"));
 
     std::fs::write(&out_path, &json).expect("write timing json");
@@ -252,7 +307,7 @@ fn main() {
         // budgets) is calibrated for release. An 8-thread anchor missing
         // from a legacy `/1` committed file is reported, not failed — the
         // next plain release run upgrades the file to `/2`.
-        if enforce {
+        if let (true, Some(scaling_result)) = (enforce, &scaling_result) {
             let mut gate = |threads: usize, prior: Option<f64>, required: bool| match (
                 prior,
                 scaling_result.anchor_fps(threads),

@@ -11,7 +11,7 @@
 //! seed and the number of addresses drawn so far.
 
 use rand::rngs::SmallRng;
-use rand::{RngExt, SeedableRng};
+use rand::{RngCore, RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// How addresses are drawn within one tier.
@@ -117,6 +117,9 @@ impl MemoryBehavior {
     }
 }
 
+/// Mixed into every stream seed ("tiptop_s").
+const STREAM_SEED_SALT: u64 = 0x7469_7074_6f70_5f73;
+
 /// Per-task mutable stream state: RNG + per-tier cursors + the address-space
 /// id that namespaces this task's lines in the shared caches.
 #[derive(Clone, Debug)]
@@ -133,7 +136,7 @@ impl TaskStream {
     pub fn new(asid: u64, seed: u64) -> Self {
         TaskStream {
             asid,
-            rng: SmallRng::seed_from_u64(seed ^ 0x7469_7074_6f70_5f73), // "tiptop_s"
+            rng: SmallRng::seed_from_u64(seed ^ STREAM_SEED_SALT),
             cursors: Vec::new(),
             drawn: 0,
         }
@@ -178,7 +181,16 @@ impl TaskStream {
                 self.cursors[ti] = (o + stride) % tier.bytes;
                 o
             }
-            AccessPattern::Random => self.rng.random_range(0..tier.bytes),
+            // The draw `random_range(0..bytes)` makes, without its `%` when
+            // the tier size is a power of two.
+            AccessPattern::Random => {
+                let r = self.rng.next_u64();
+                if tier.bytes.is_power_of_two() {
+                    r & (tier.bytes - 1)
+                } else {
+                    r % tier.bytes
+                }
+            }
         };
         (self.asid << 40) | (mem.bases[ti] + offset)
     }
@@ -257,6 +269,60 @@ mod tests {
         let vc: Vec<u64> = (0..100).map(|_| c.next_addr(&mem)).collect();
         assert_eq!(va, vb);
         assert_ne!(va, vc);
+    }
+
+    /// `next_addr` as it was written against `random_range`: the reference
+    /// its mask/`%` draw must reproduce.
+    fn reference_addrs(mem: &MemoryBehavior, asid: u64, seed: u64, n: usize) -> Vec<u64> {
+        let mut rng = SmallRng::seed_from_u64(seed ^ STREAM_SEED_SALT);
+        let mut cursors = vec![0u64; mem.tiers.len()];
+        (0..n)
+            .map(|_| {
+                let ti = mem.pick_tier(rng.random());
+                let tier = &mem.tiers[ti];
+                let offset = match tier.pattern {
+                    AccessPattern::Sequential => {
+                        let o = cursors[ti];
+                        cursors[ti] = (o + 64) % tier.bytes;
+                        o
+                    }
+                    AccessPattern::Strided(stride) => {
+                        let o = cursors[ti];
+                        cursors[ti] = (o + stride) % tier.bytes;
+                        o
+                    }
+                    AccessPattern::Random => rng.random_range(0..tier.bytes),
+                };
+                (asid << 40) | (mem.bases[ti] + offset)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn next_addr_matches_random_range_on_every_tier_size() {
+        let behaviours = [
+            // Power-of-two random tiers: the masked draw.
+            MemoryBehavior::uniform(1 << 20),
+            MemoryBehavior::uniform(64),
+            // Non-power-of-two random tiers: the `%` draw.
+            MemoryBehavior::uniform(5 * 1024 * 1024 + 192),
+            MemoryBehavior::uniform(12 * 1024 * 1024),
+            // Mixed: both kinds of random tier beside the cursor patterns.
+            MemoryBehavior::new(vec![
+                WorkingSetTier::new(32 * 1024, 0.5, AccessPattern::Random),
+                WorkingSetTier::new(3 * 1024 * 1024, 0.3, AccessPattern::Random),
+                WorkingSetTier::new(640, 0.1, AccessPattern::Sequential),
+                WorkingSetTier::new(1 << 20, 0.1, AccessPattern::Strided(4160)),
+            ]),
+        ];
+        for (k, mem) in behaviours.iter().enumerate() {
+            for seed in [0u64, 1, 104_729] {
+                let mut s = TaskStream::new(k as u64 + 1, seed);
+                let got: Vec<u64> = (0..20_000).map(|_| s.next_addr(mem)).collect();
+                let want = reference_addrs(mem, k as u64 + 1, seed, 20_000);
+                assert_eq!(got, want, "behaviour {k}, seed {seed}");
+            }
+        }
     }
 
     #[test]

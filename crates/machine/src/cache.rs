@@ -10,6 +10,23 @@
 //! Tags carry the full (address-space-qualified) line address, so two tasks
 //! touching the same virtual addresses still conflict only through capacity,
 //! never through aliasing.
+//!
+//! # The hot path
+//!
+//! [`SetAssocCache::access`] runs once per sampled access per level, so it
+//! is written to do no division and no data-dependent branch:
+//!
+//! * **Set index.** A power-of-two set count (every L1 and L2, most L3s) is
+//!   a mask; only a non-power-of-two count (the E5640's 12,288-set L3) pays
+//!   a `%`, and the branch choosing between them is fixed per cache.
+//! * **Find-and-shift.** Each set stays an MRU-ordered tag array — no
+//!   per-way stamps, so the tag array is the cache's whole memory. One pass
+//!   of a fixed trip count (the associativity) compares every way against
+//!   the line and, with selects rather than branches, shifts the ways in
+//!   front of the match (or every way, on a miss) down by one and writes
+//!   the line at MRU. A hit at way `p` and a miss leave exactly the order
+//!   `position` + `rotate_right` used to leave, so every hit/miss sequence
+//!   is unchanged.
 
 use serde::{Deserialize, Serialize};
 
@@ -111,6 +128,9 @@ pub struct SetAssocCache {
     geometry: CacheGeometry,
     line_shift: u32,
     num_sets: u64,
+    /// `num_sets - 1` when the set count is a power of two: the set index
+    /// is then a mask instead of a `%`.
+    set_mask: Option<u64>,
     ways: usize,
     /// `sets * ways` tags, LRU-ordered within each set: index 0 is MRU.
     /// Empty until the first [`SetAssocCache::access`].
@@ -121,6 +141,29 @@ pub struct SetAssocCache {
 
 const INVALID: u64 = u64::MAX;
 
+/// Move `line` to the MRU end (index 0) of one set, filling it on a miss.
+/// Returns `true` on hit.
+///
+/// A hit at way `p` shifts ways `0..p` down by one; a miss shifts every way
+/// down, evicting the LRU (last) way. Both are the same single pass: every
+/// way takes its predecessor's old tag (way 0 takes `line`) until the pass
+/// has seen the match, and keeps its own afterwards. Tags within a set are
+/// distinct, so at most one way matches. The trip count is the set's
+/// associativity, the per-way choice is a select, not a branch, and the
+/// only value carried from way to way is the one-bit "seen the match".
+#[inline(always)]
+fn touch(slots: &mut [u64], line: u64) -> bool {
+    let mut prev = line;
+    let mut found = false;
+    for slot in slots.iter_mut() {
+        let tag = *slot;
+        *slot = if found { tag } else { prev };
+        found |= tag == line;
+        prev = tag;
+    }
+    found
+}
+
 impl SetAssocCache {
     pub fn new(geometry: CacheGeometry) -> Self {
         let sets = geometry.num_sets();
@@ -129,6 +172,7 @@ impl SetAssocCache {
             geometry,
             line_shift: geometry.line_bytes.trailing_zeros(),
             num_sets: sets,
+            set_mask: sets.is_power_of_two().then(|| sets - 1),
             ways,
             tags: Vec::new(),
             hits: 0,
@@ -146,6 +190,15 @@ impl SetAssocCache {
         addr >> self.line_shift
     }
 
+    /// Index of the set holding `line`.
+    #[inline]
+    fn set_of(&self, line: u64) -> usize {
+        match self.set_mask {
+            Some(mask) => (line & mask) as usize,
+            None => (line % self.num_sets) as usize,
+        }
+    }
+
     /// Access the line containing `addr` (byte address); on miss, fill it.
     /// Returns `true` on hit.
     #[inline]
@@ -156,29 +209,12 @@ impl SetAssocCache {
             // First touch: materialize the tag array.
             self.tags = vec![INVALID; self.num_sets as usize * self.ways];
         }
-        let set = (line % self.num_sets) as usize;
-        let base = set * self.ways;
+        let base = self.set_of(line) * self.ways;
         let slots = &mut self.tags[base..base + self.ways];
-
-        match slots.iter().position(|&t| t == line) {
-            Some(0) => {
-                self.hits += 1;
-                true
-            }
-            Some(pos) => {
-                // Move to MRU position; order of the others is preserved.
-                slots[..=pos].rotate_right(1);
-                self.hits += 1;
-                true
-            }
-            None => {
-                // Evict LRU (last slot) by shifting everything down.
-                slots.rotate_right(1);
-                slots[0] = line;
-                self.misses += 1;
-                false
-            }
-        }
+        let hit = touch(slots, line);
+        self.hits += hit as u64;
+        self.misses += !hit as u64;
+        hit
     }
 
     /// Is `addr`'s line currently resident? Does not touch LRU state.
@@ -187,8 +223,7 @@ impl SetAssocCache {
             return false;
         }
         let line = self.line_of(addr);
-        let set = (line % self.num_sets) as usize;
-        let base = set * self.ways;
+        let base = self.set_of(line) * self.ways;
         self.tags[base..base + self.ways].contains(&line)
     }
 
@@ -219,6 +254,9 @@ impl SetAssocCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{RngExt, SeedableRng};
+    use std::collections::VecDeque;
 
     fn tiny() -> SetAssocCache {
         // 4 sets × 2 ways × 64 B lines = 512 B.
@@ -348,5 +386,139 @@ mod tests {
         assert!(c.probe(0));
         c.flush();
         assert_eq!(c.allocated_bytes(), 0, "flush deallocates, not just fills");
+    }
+
+    /// The obvious true-LRU cache: one MRU-first queue per set, `%` set
+    /// index, linear search, remove-and-push-front.
+    struct NaiveLru {
+        line_bytes: u64,
+        ways: usize,
+        sets: Vec<VecDeque<u64>>,
+    }
+
+    impl NaiveLru {
+        fn new(g: CacheGeometry) -> Self {
+            NaiveLru {
+                line_bytes: g.line_bytes as u64,
+                ways: g.ways as usize,
+                sets: (0..g.num_sets()).map(|_| VecDeque::new()).collect(),
+            }
+        }
+
+        fn set(&self, line: u64) -> usize {
+            (line % self.sets.len() as u64) as usize
+        }
+
+        fn access(&mut self, addr: u64) -> bool {
+            let line = addr / self.line_bytes;
+            let ways = self.ways;
+            let set = self.set(line);
+            let q = &mut self.sets[set];
+            let hit = match q.iter().position(|&t| t == line) {
+                Some(pos) => {
+                    q.remove(pos);
+                    true
+                }
+                None => {
+                    if q.len() == ways {
+                        q.pop_back();
+                    }
+                    false
+                }
+            };
+            q.push_front(line);
+            hit
+        }
+
+        fn probe(&self, addr: u64) -> bool {
+            let line = addr / self.line_bytes;
+            self.sets[self.set(line)].contains(&line)
+        }
+
+        fn resident_lines(&self) -> usize {
+            self.sets.iter().map(VecDeque::len).sum()
+        }
+    }
+
+    #[test]
+    fn matches_naive_lru_on_every_geometry() {
+        let geometries = [
+            (
+                "4x2",
+                CacheGeometry {
+                    size_bytes: 512,
+                    ways: 2,
+                    line_bytes: 64,
+                },
+            ),
+            ("64x8", CacheGeometry::kib(32, 8, 64)),
+            ("12288x16", CacheGeometry::kib(12 * 1024, 16, 64)),
+            (
+                "1-set",
+                CacheGeometry {
+                    size_bytes: 16 * 64,
+                    ways: 16,
+                    line_bytes: 64,
+                },
+            ),
+            (
+                "1-set-3way",
+                CacheGeometry {
+                    size_bytes: 3 * 128,
+                    ways: 3,
+                    line_bytes: 128,
+                },
+            ),
+            (
+                "1-way",
+                CacheGeometry {
+                    size_bytes: 32 * 64,
+                    ways: 1,
+                    line_bytes: 64,
+                },
+            ),
+            (
+                "3x2",
+                CacheGeometry {
+                    size_bytes: 3 * 2 * 64,
+                    ways: 2,
+                    line_bytes: 64,
+                },
+            ),
+        ];
+        for (name, g) in geometries {
+            let capacity = g.size_bytes;
+            for seed in [1u64, 2, 3] {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let mut fast = SetAssocCache::new(g);
+                let mut naive = NaiveLru::new(g);
+                // A hot region re-touched often, a region twice the capacity,
+                // and a second address space over the same virtual range.
+                for n in 0..60_000u64 {
+                    let addr = match rng.random_range(0..4) {
+                        0 => rng.random_range(0..capacity / 4 + 64),
+                        1 => rng.random_range(0..2 * capacity),
+                        2 => (1 << 40) | rng.random_range(0..capacity),
+                        _ => (n * g.line_bytes as u64) % (3 * capacity),
+                    };
+                    assert_eq!(
+                        fast.access(addr),
+                        naive.access(addr),
+                        "{name} seed {seed}: access {n} at {addr:#x}"
+                    );
+                }
+                for k in 0..4_000u64 {
+                    let addr = (k % 2) << 40 | rng.random_range(0..2 * capacity);
+                    assert_eq!(
+                        fast.probe(addr),
+                        naive.probe(addr),
+                        "{name}: probe {addr:#x}"
+                    );
+                }
+                assert_eq!(fast.resident_lines(), naive.resident_lines(), "{name}");
+                let (hits, misses) = fast.stats();
+                assert_eq!(hits + misses, 60_000, "{name}");
+            }
+        }
     }
 }

@@ -295,8 +295,22 @@ impl MachineConfig {
         self
     }
 
+    /// Most cache samples per slice [`MachineConfig::with_samples`]
+    /// accepts. An epoch hands one slice at most 16× this many samples,
+    /// 2^19, the bound below which the machine's integer stream interleave
+    /// provably keeps the order of the f64 merge it replaced.
+    pub const MAX_SAMPLES_PER_SLICE: u32 = 1 << 15;
+
     /// Override sampling fidelity.
+    ///
+    /// # Panics
+    /// Panics above [`MachineConfig::MAX_SAMPLES_PER_SLICE`].
     pub fn with_samples(mut self, n: u32) -> Self {
+        assert!(
+            n <= Self::MAX_SAMPLES_PER_SLICE,
+            "{n} cache samples per slice, above the maximum {}",
+            Self::MAX_SAMPLES_PER_SLICE
+        );
         self.cache_samples_per_slice = n;
         self
     }
@@ -305,6 +319,18 @@ impl MachineConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "above the maximum")]
+    fn with_samples_rejects_more_than_the_exact_merge_bound() {
+        MachineConfig::nehalem_w3550().with_samples(MachineConfig::MAX_SAMPLES_PER_SLICE + 1);
+    }
+
+    #[test]
+    fn with_samples_accepts_the_bound() {
+        let cfg = MachineConfig::nehalem_w3550().with_samples(MachineConfig::MAX_SAMPLES_PER_SLICE);
+        assert_eq!(cfg.cache_samples_per_slice, 1 << 15);
+    }
 
     #[test]
     fn presets_are_self_consistent() {

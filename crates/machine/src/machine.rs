@@ -7,16 +7,22 @@
 //! interleaved — in proportion to its access rate — through the same L1/L2
 //! (per physical core, shared by SMT siblings) and L3 (per socket, shared by
 //! all its cores) before any CPI is computed.
+//!
+//! The interleave is a merge on virtual epoch time: slice `i`'s `j`-th of
+//! `q_i` sampled accesses happens at `(j + ½) / q_i`. `Interleave` runs it
+//! with no division and no heap in the per-access loop — integer keys
+//! advanced by a fixed step plus a carried remainder, and an argmin over the
+//! handful of co-running slices — and its order is provably the one the
+//! earlier `BinaryHeap` over f64 times produced (see `Interleave`). Each
+//! slice's core and socket are looked up once per epoch, not per access.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::access::TaskStream;
-use crate::cache::{CacheLevel, SetAssocCache};
+use crate::cache::SetAssocCache;
 use crate::config::MachineConfig;
 use crate::exec::{ExecOutcome, ExecProfile, FpUnit};
 use crate::pmu::{EventCounts, HwEvent};
@@ -70,6 +76,122 @@ impl<'a> SliceRequest<'a> {
 /// `cache_samples_per_slice * min(slices, JOINT_SAMPLE_SLICES)`, split
 /// proportionally to each slice's estimated access rate.
 pub const JOINT_SAMPLE_SLICES: usize = 4;
+
+/// Largest per-slice sample quota the interleave accepts: `16 ×`
+/// [`MachineConfig::MAX_SAMPLES_PER_SLICE`], the most the quota clamp in
+/// `sample_caches` can hand one slice. Up to this bound the integer merge
+/// is exactly the f64 merge it replaced.
+pub(crate) const MAX_QUOTA: u64 = 1 << 19;
+
+/// Fixed point of the merge's virtual time: `[0, 1)` maps to `[0, 2^40)`.
+const TIME_BITS: u32 = 40;
+/// Low bits of a packed merge key that hold the slice index.
+const SLOT_BITS: u32 = 16;
+/// Packed key of a slice whose quota is spent: above every live key.
+const DONE: u64 = u64::MAX;
+
+/// Division-free merge of per-slice access streams on virtual epoch time.
+///
+/// Slice `i`'s `j`-th access (`0 ≤ j < q_i`) is keyed by
+/// `floor((2j+1)·2^40 / (2q_i))`, i.e. `floor(t·2^40)` for the exact
+/// rational time `t = (j + ½)/q_i`, and the merge yields slice indices in
+/// increasing `(key, i)` order, so equal times go to the lower index. Each
+/// key is `(numerator div 2q_i)`; consecutive numerators differ by `2^41`,
+/// so a key advances by `2^41 div 2q_i` plus a carry out of a remainder
+/// that grows by `2^41 mod 2q_i` — Bresenham's line, all integer adds and
+/// one compare. Keys are packed as `key << 16 | i` so a plain `min` over
+/// the co-running slices (at most 16 on the shipped machines) is the
+/// lexicographic argmin.
+///
+/// **Equal to the former f64 order for every quota ≤ [`MAX_QUOTA`] =
+/// 2^19.** The heap it replaces ordered by
+/// `(floor(fl((j + 0.5) / q) · 2^40), i)`, `fl` being IEEE division.
+/// * Two distinct times differ by at least `1/(2 q_a q_b) ≥ 2^-39`: their
+///   difference is a non-zero integer over `2 q_a q_b`. Scaled by `2^40`
+///   they are at least 2 apart, so their exact floors differ, in the same
+///   direction.
+/// * IEEE division is correctly rounded: for `t < 1`, `|fl(t) − t| ≤
+///   2^-54`, which is `≤ 2^-14` after scaling (`j + 0.5` and the product
+///   by `2^40` are exact). Two scaled times at least 2 apart stay more than
+///   1 apart, so their f64 floors differ in the same direction too.
+/// * Equal times have equal keys under both schemes, and both break the tie
+///   by slice index.
+///
+/// Hence the two merges emit the same sequence, though an individual key
+/// may differ by one between them. Keys stay below `2^40` (`t < 1`), so a
+/// packed key fits in 56 bits and never reaches `DONE`.
+pub(crate) struct Interleave {
+    /// Packed `key << SLOT_BITS | slice` of each slice's next access, or
+    /// `DONE`.
+    keys: Vec<u64>,
+    lanes: Vec<Lane>,
+}
+
+/// Per-slice state of an `Interleave`.
+struct Lane {
+    /// Accesses still to emit.
+    left: u64,
+    /// The key's denominator, `2q`.
+    den: u64,
+    /// Numerator remainder, `< den`.
+    rem: u64,
+    /// `2^41 div 2q`, pre-shifted into packed position.
+    step: u64,
+    /// `2^41 mod 2q`.
+    step_rem: u64,
+}
+
+impl Interleave {
+    /// A merge of `quotas[i]` accesses of each slice `i`.
+    ///
+    /// # Panics
+    /// Panics on a quota of 0 or above [`MAX_QUOTA`], or on more than
+    /// `2^16` slices.
+    pub(crate) fn new(quotas: &[u64]) -> Self {
+        assert!(quotas.len() <= 1 << SLOT_BITS, "too many slices to merge");
+        let one = 1u64 << TIME_BITS;
+        let (keys, lanes) = quotas
+            .iter()
+            .enumerate()
+            .map(|(i, &q)| {
+                assert!(
+                    (1..=MAX_QUOTA).contains(&q),
+                    "sample quota {q} outside 1..={MAX_QUOTA}, where the interleave is exact"
+                );
+                let den = 2 * q;
+                let key = (one / den) << SLOT_BITS | i as u64;
+                let lane = Lane {
+                    left: q,
+                    den,
+                    rem: one % den,
+                    step: (2 * one / den) << SLOT_BITS,
+                    step_rem: 2 * one % den,
+                };
+                (key, lane)
+            })
+            .unzip();
+        Interleave { keys, lanes }
+    }
+}
+
+impl Iterator for Interleave {
+    type Item = usize;
+
+    /// The slice whose next access comes first.
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        let packed = self.keys.iter().copied().min().filter(|&k| k != DONE)?;
+        let i = (packed & ((1 << SLOT_BITS) - 1)) as usize;
+        let lane = &mut self.lanes[i];
+        lane.left -= 1;
+        let rem = lane.rem + lane.step_rem;
+        let carry = (rem >= lane.den) as u64;
+        lane.rem = rem - carry * lane.den;
+        let next = packed + lane.step + (carry << SLOT_BITS);
+        self.keys[i] = if lane.left == 0 { DONE } else { next };
+        Some(i)
+    }
+}
 
 /// Per-slice cache sampling tallies.
 #[derive(Clone, Copy, Default)]
@@ -293,64 +415,35 @@ impl Machine {
             .map(|w| ((k_total * w / total_w).round() as u64).clamp(16, (k_total * 4.0) as u64))
             .collect();
 
-        // Event-driven merge on virtual epoch time in [0, 1): slice i's j-th
-        // access happens at (j + 0.5) / quota_i. BinaryHeap is a max-heap, so
-        // order by Reverse of a monotone integer key derived from the time.
-        #[derive(PartialEq, Eq, PartialOrd, Ord)]
-        struct Key(u64, usize); // (scaled virtual time, slice index)
-        let scale = 1u64 << 40;
-        let mut heap: BinaryHeap<Reverse<Key>> = BinaryHeap::with_capacity(n);
-        for (i, &q) in quotas.iter().enumerate() {
-            if q > 0 {
-                let t = (0.5 / q as f64 * scale as f64) as u64;
-                heap.push(Reverse(Key(t, i)));
-            }
-        }
-        let mut emitted = vec![0u64; n];
+        // Placement and per-level cost, resolved once per epoch.
+        let cores: Vec<usize> = slices.iter().map(|s| topo.core_of(s.pu).0).collect();
+        let sockets: Vec<usize> = slices.iter().map(|s| topo.socket_of(s.pu).0).collect();
+        // Indexed by the level that served the access: L1, L2, L3, memory.
+        // An L1 hit adds +0.0, which leaves the (non-negative) sum's bits
+        // unchanged.
+        let penalty = [0.0, u.lat_l2, u.lat_l3, u.lat_mem];
         let mut stats = vec![SampleStats::default(); n];
 
-        while let Some(Reverse(Key(_, i))) = heap.pop() {
+        for i in Interleave::new(&quotas) {
             let s = &mut slices[i];
-            let core = topo.core_of(s.pu).0;
-            let socket = topo.socket_of(s.pu).0;
             let addr = s.stream.next_addr(&s.profile.mem);
-
+            let core = cores[i];
             let level = if self.l1[core].access(addr) {
-                CacheLevel::L1
+                0
             } else if self.l2[core].access(addr) {
-                CacheLevel::L2
-            } else if self.l3[socket].access(addr) {
-                CacheLevel::L3
+                1
+            } else if self.l3[sockets[i]].access(addr) {
+                2
             } else {
-                CacheLevel::Memory
+                3
             };
 
             let st = &mut stats[i];
             st.sampled += 1;
-            match level {
-                CacheLevel::L1 => {}
-                CacheLevel::L2 => {
-                    st.l1_miss += 1;
-                    st.penalty_sum += u.lat_l2;
-                }
-                CacheLevel::L3 => {
-                    st.l1_miss += 1;
-                    st.l2_miss += 1;
-                    st.penalty_sum += u.lat_l3;
-                }
-                CacheLevel::Memory => {
-                    st.l1_miss += 1;
-                    st.l2_miss += 1;
-                    st.l3_miss += 1;
-                    st.penalty_sum += u.lat_mem;
-                }
-            }
-
-            emitted[i] += 1;
-            if emitted[i] < quotas[i] {
-                let t = ((emitted[i] as f64 + 0.5) / quotas[i] as f64 * scale as f64) as u64;
-                heap.push(Reverse(Key(t, i)));
-            }
+            st.l1_miss += (level >= 1) as u64;
+            st.l2_miss += (level >= 2) as u64;
+            st.l3_miss += (level >= 3) as u64;
+            st.penalty_sum += penalty[level];
         }
         stats
     }
@@ -446,6 +539,80 @@ fn build_outcome(
 mod tests {
     use super::*;
     use crate::access::MemoryBehavior;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// The merge `Interleave` replaced: a min-heap on
+    /// `((j + 0.5) / q · 2^40) as u64` in f64, ties to the lower index.
+    fn heap_merge(quotas: &[u64]) -> Vec<usize> {
+        let scale = 1u64 << 40;
+        let mut heap = BinaryHeap::new();
+        for (i, &q) in quotas.iter().enumerate() {
+            if q > 0 {
+                heap.push(Reverse(((0.5 / q as f64 * scale as f64) as u64, i)));
+            }
+        }
+        let mut emitted = vec![0u64; quotas.len()];
+        let mut order = Vec::new();
+        while let Some(Reverse((_, i))) = heap.pop() {
+            order.push(i);
+            emitted[i] += 1;
+            if emitted[i] < quotas[i] {
+                let t = ((emitted[i] as f64 + 0.5) / quotas[i] as f64 * scale as f64) as u64;
+                heap.push(Reverse((t, i)));
+            }
+        }
+        order
+    }
+
+    #[test]
+    fn interleave_matches_the_f64_heap_merge() {
+        let mut rng = SmallRng::seed_from_u64(0x6d_6572_6765); // "merge"
+        for case in 0..500 {
+            let slices = rng.random_range(1..17) as usize;
+            // Quotas are log-uniform over [16, 2^top], `top` itself uniform
+            // up to 16: every scale up to 65,536 is covered without every
+            // case merging a million accesses.
+            let top = rng.random_range(4..17);
+            let draw = |rng: &mut SmallRng| {
+                let bits = rng.random_range(4..top + 1);
+                rng.random_range(1 << (bits - 1)..(1 << bits) + 1).max(16)
+            };
+            let quotas: Vec<u64> = match case % 4 {
+                // Equal quotas: every access time ties across all slices.
+                0 => vec![draw(&mut rng); slices],
+                // Integer multiples of one base: the base's times recur in
+                // every multiple.
+                1 => {
+                    let base = draw(&mut rng);
+                    (0..slices)
+                        .map(|_| base * rng.random_range(1..(1 << top) / base + 1))
+                        .collect()
+                }
+                _ => (0..slices).map(|_| draw(&mut rng)).collect(),
+            };
+            let merged: Vec<usize> = Interleave::new(&quotas).collect();
+            assert!(
+                merged == heap_merge(&quotas),
+                "case {case}: quotas {quotas:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn interleave_handles_no_slices_and_extreme_quotas() {
+        assert_eq!(Interleave::new(&[]).count(), 0);
+        let quotas = [MAX_QUOTA, 1, MAX_QUOTA - 1];
+        let merged: Vec<usize> = Interleave::new(&quotas).collect();
+        assert_eq!(merged.len() as u64, 2 * MAX_QUOTA);
+        assert!(merged == heap_merge(&quotas));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside")]
+    fn interleave_rejects_a_quota_past_the_exact_bound() {
+        Interleave::new(&[16, MAX_QUOTA + 1]);
+    }
 
     fn machine() -> Machine {
         Machine::new(MachineConfig::nehalem_w3550().noiseless(), 7)
