@@ -69,13 +69,13 @@ const BASELINE_SECONDS: [(&str, f64); 17] = [
     // tournament's four cells.
     ("policy_lab", 17.580),
     // Four three-machine pipelines (chain, fan-out, shuffle, random DAG)
-    // through the cluster's lockstep driver.
+    // through the cluster's round driver.
     ("pipelines", 0.020),
     ("validation", 0.009),
-    // The thread sweep runs the batched arm four times per point (1/2/4/8
-    // workers) plus one single-threaded baseline arm; the lane/loser-tree
-    // merge and the per-machine memory diet still bring the whole curve in
-    // under the old two-arm budget.
+    // The thread sweep runs four arms per point (1/2/4/8 workers); the
+    // lane/loser-tree merge and the per-machine memory diet bring the whole
+    // curve in under the budget set when a fifth, per-frame baseline arm
+    // still ran with them.
     ("scaling", 1.500),
     // 3 × 500 timed epochs of 4096 sampled accesses, plus warm-up:
     // 0.61–0.66 s on a 2-CPU host where `fig10_datacenter` takes ~1.6× its
@@ -100,8 +100,8 @@ fn scan_value(s: &str, key: &str) -> Option<f64> {
 
 /// The committed 100-machine `frames_per_sec` at `threads` workers out of
 /// `BENCH_cluster.json` (hand-rolled scan — the offline serde stub has no
-/// deserializer either). Schema `/2` carries one arm per swept thread
-/// count; a legacy `/1` file only answers for `threads == 1` (its single
+/// deserializer either). Schemas `/2` and `/3` carry one arm per swept
+/// thread count; a legacy `/1` file only answers for `threads == 1` (its single
 /// measured arm).
 fn anchor_fps(json: &str, threads: usize) -> Option<f64> {
     let at = json.find("\"machines\": 100,")?;

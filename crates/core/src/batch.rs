@@ -1,13 +1,12 @@
-//! Columnar frame batches: the unit of transport on the cluster's batched
-//! hot path.
+//! Columnar frame batches: the unit of transport between the cluster's
+//! free-running workers and their merge.
 //!
-//! A shard worker used to send one channel message per observed frame,
-//! each carrying freshly allocated `String` labels. A [`FrameBatch`]
-//! instead accumulates an observation round's frames in columns — one flat
+//! Rather than one channel message per observed frame, each carrying
+//! freshly allocated `String` labels, a [`FrameBatch`] accumulates an observation round's frames in columns — one flat
 //! row column plus per-frame metadata keyed by interned [`SymId`]s
 //! (machine id, monitor name, per-row command) — and is sent once. Batch
-//! shells are recycled through a pool after the merge consumes them, so a
-//! steady-state run allocates no transport memory per round at all.
+//! shells are recycled through a pool once the merge has delivered them,
+//! so a steady-state run allocates no transport memory per round at all.
 //!
 //! Consumers that understand the columnar layout
 //! ([`crate::cluster::ClusterWindowSink`]) fold straight from the columns;

@@ -153,6 +153,13 @@ impl Session {
             .find_map(|(at, ev)| (ev.is_kill() && ev.tag() == tag).then_some(*at))
     }
 
+    /// Does a not-yet-resolved dependency edge wait on `tag`, or act on it?
+    pub(crate) fn edge_on(&self, tag: &str) -> bool {
+        self.deferred
+            .iter()
+            .any(|d| d.dep == tag || d.ev.tag() == tag)
+    }
+
     /// Is `tag` spawned by a not-yet-resolved dependency edge?
     pub(crate) fn deferred_spawn(&self, tag: &str) -> bool {
         self.deferred

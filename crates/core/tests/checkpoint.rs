@@ -5,7 +5,7 @@
 //! incarnations of one tag coexist.
 
 use tiptop_core::app::{Tiptop, TiptopOptions};
-use tiptop_core::cluster::{ClusterFrame, ClusterScenario, MachineRef};
+use tiptop_core::cluster::{ClusterCollectSink, ClusterFrame, ClusterScenario, MachineRef};
 use tiptop_core::config::ScreenConfig;
 use tiptop_core::scenario::{Scenario, SessionError};
 use tiptop_kernel::program::Program;
@@ -295,5 +295,117 @@ fn incarnation_addressing_rejects_aliasing_and_dead_sources_at_build() {
             assert!(msg.contains("shares this instant"), "{msg}")
         }
         other => panic!("expected InvalidScenario, got {other:?}"),
+    }
+}
+
+#[test]
+fn scripted_resume_under_run_reactive_is_byte_identical_to_run_collect() {
+    // One scripted hop at 2s, with the destination declared first and
+    // second. A run without policies must order the handoff itself: the
+    // source publishes its checkpoint before the destination crosses the
+    // instant, at any thread count.
+    for dst_first in [true, false] {
+        let build = || {
+            let src = node(1).spawn("job", SpawnSpec::new("job", Uid(1), job()).seed(5));
+            let cluster = if dst_first {
+                ClusterScenario::new()
+                    .machine("node-b", node(2))
+                    .machine("node-a", src)
+            } else {
+                ClusterScenario::new()
+                    .machine("node-a", src)
+                    .machine("node-b", node(2))
+            };
+            cluster
+                .resume_at(SimTime::from_secs(2), "job", "node-a", "node-b")
+                .build()
+                .unwrap()
+        };
+        let golden = rendered(
+            &build()
+                .run_collect(1, 7, |_m: MachineRef<'_>| tool(1))
+                .unwrap(),
+        );
+        for threads in [1, 2, 8] {
+            let mut session = build();
+            let mut sink = ClusterCollectSink::new();
+            let applied = session
+                .run_reactive(threads, 7, |_| vec![tool(1)], &mut [], &mut sink)
+                .unwrap_or_else(|e| panic!("dst_first={dst_first}, {threads} workers: {e}"));
+            assert!(applied.is_empty());
+            assert_eq!(
+                golden,
+                rendered(sink.frames()),
+                "dst_first={dst_first}, {threads} workers must match run_collect"
+            );
+            let b = session.session("node-b").unwrap();
+            let last = b
+                .kernel()
+                .exit_record(b.pid("job").expect("resumed on node-b"))
+                .expect("finished inside the run");
+            assert_eq!(last.start_time, SimTime::from_secs(2));
+            assert_eq!(last.total_instructions, JOB_INSNS);
+            assert_eq!(last.total_instructions, baseline_total());
+        }
+    }
+}
+
+#[test]
+fn resume_hop_feeding_a_cross_machine_edge_is_byte_identical() {
+    // The job resumes on node-b at 2s and completes there; node-c starts
+    // `post` 50ms after that final exit. The edges keep every machine in
+    // step, and node-a trails node-h by at most 10ms behind an edge that
+    // never fires, so node-b must wait for node-a's checkpoint.
+    let post = || {
+        let profile = ExecProfile::builder("post").base_cpi(1.0).build();
+        SpawnSpec::new("post", Uid(1), Program::single(profile, 100_000_000)).seed(7)
+    };
+    let endless = |comm: &str, seed: u64| {
+        let profile = ExecProfile::builder(comm).base_cpi(1.0).build();
+        SpawnSpec::new(comm, Uid(1), Program::endless(profile)).seed(seed)
+    };
+    let run_at = |threads: usize| {
+        let mut session = ClusterScenario::new()
+            .machine(
+                "node-a",
+                node(1)
+                    .spawn("job", SpawnSpec::new("job", Uid(1), job()).seed(5))
+                    .spawn("side", endless("side", 6))
+                    .kill_after("trigger", SimDuration::from_millis(10), "side"),
+            )
+            .machine("node-b", node(2))
+            .machine("node-h", node(4).spawn("trigger", endless("trigger", 8)))
+            .machine(
+                "node-c",
+                node(3).spawn_after("job", SimDuration::from_millis(50), "post", post()),
+            )
+            .resume_at(SimTime::from_secs(2), "job", "node-a", "node-b")
+            .build()
+            .unwrap();
+        let frames = session
+            .run_collect(threads, 7, |_m: MachineRef<'_>| tool(1))
+            .unwrap();
+        (rendered(&frames), session)
+    };
+    let (golden, session) = run_at(1);
+
+    let b = session.session("node-b").unwrap();
+    let last = b
+        .kernel()
+        .exit_record(b.pid("job").expect("resumed on node-b"))
+        .expect("finished inside the run");
+    assert_eq!(last.start_time, SimTime::from_secs(2));
+    assert_eq!(last.total_instructions, JOB_INSNS);
+    let c = session.session("node-c").unwrap();
+    let started = c
+        .kernel()
+        .exit_record(c.pid("post").expect("the edge fired"))
+        .expect("post finished inside the run")
+        .start_time;
+    assert_eq!(started, last.end_time + SimDuration::from_millis(50));
+
+    for threads in [2, 8] {
+        let (stream, _) = run_at(threads);
+        assert_eq!(golden, stream, "{threads} workers must not change one byte");
     }
 }

@@ -1612,46 +1612,6 @@ fn build_rejects_duplicate_ids_and_labels_scenario_errors() {
 }
 
 #[test]
-fn batched_and_per_frame_transports_are_byte_identical() {
-    // `run` ships columnar batches; `run_per_frame` is the legacy
-    // one-message-per-frame transport kept as a differential baseline.
-    // Both must produce the same merged stream, byte for byte.
-    let run = |threads: usize, per_frame: bool| {
-        let mut session = cluster().build().unwrap();
-        let mut sink = ClusterCollectSink::new();
-        let monitor = |m: MachineRef<'_>| -> Box<dyn Monitor + Send> {
-            tool(if m.index.is_multiple_of(2) { 1 } else { 2 })
-        };
-        if per_frame {
-            session
-                .run_per_frame(threads, 5, monitor, &mut sink)
-                .unwrap();
-        } else {
-            session.run(threads, 5, monitor, &mut sink).unwrap();
-        }
-        (rendered(sink.frames()), session.last_run_stats())
-    };
-    let (golden, batched) = run(1, false);
-    let (legacy, per_frame) = run(1, true);
-    assert_eq!(golden, legacy, "transports must agree frame for frame");
-    assert_eq!(batched.frames, per_frame.frames, "same frames delivered");
-    assert!(
-        batched.batches < batched.frames,
-        "batched path must coalesce sends: {} messages for {} frames",
-        batched.batches,
-        batched.frames
-    );
-    assert_eq!(
-        per_frame.batches, per_frame.frames,
-        "legacy path is one message per frame"
-    );
-    assert_eq!(golden, run(8, false).0, "8 batched workers agree");
-    assert_eq!(golden, run(8, true).0, "8 per-frame workers agree");
-    assert_eq!(golden, run(16, false).0, "16 batched workers agree");
-    assert_eq!(golden, run(16, true).0, "16 per-frame workers agree");
-}
-
-#[test]
 fn shards_share_immutable_state_across_the_fleet() {
     use std::sync::Arc;
 
@@ -1991,6 +1951,61 @@ fn cross_machine_fan_out_fan_in_is_byte_identical_at_1_2_and_8_threads() {
 }
 
 #[test]
+fn edges_keep_a_machine_in_step_after_its_own_monitor_stops() {
+    // node-a's monitor stops after its first frame, but `dep` on node-a
+    // still runs to its exit (~1.6s) and fires the edge into node-b.
+    let node = |seed: u64| {
+        Scenario::new(MachineConfig::nehalem_w3550().noiseless())
+            .seed(seed)
+            .user(Uid(1), "u1")
+    };
+    let mut session = ClusterScenario::new()
+        .machine(
+            "node-a",
+            node(1).spawn("dep", work("dep", 0.8, 6_000_000_000, 1)),
+        )
+        .machine(
+            "node-b",
+            node(2).spawn_after(
+                "dep",
+                SimDuration::from_millis(30),
+                "next",
+                work("next", 1.0, 100_000_000, 2),
+            ),
+        )
+        .build()
+        .unwrap();
+    let mut sink = ClusterCollectSink::new();
+    session
+        .run_each(
+            2,
+            4,
+            |_| tool(1),
+            |m| {
+                let first_only = m.index == 0;
+                Box::new(move |_: &Frame| first_only)
+            },
+            &mut sink,
+        )
+        .unwrap();
+    assert_eq!(sink.frames().len(), 5, "node-a stopped after one frame");
+    let a = session.session("node-a").unwrap();
+    let exit = a
+        .kernel()
+        .exit_record(a.pid("dep").unwrap())
+        .expect("dep ran to its exit after node-a's monitor stopped")
+        .end_time;
+    assert!(exit > SimTime::from_secs(1));
+    let b = session.session("node-b").unwrap();
+    let started = b
+        .kernel()
+        .exit_record(b.pid("next").expect("the edge fired"))
+        .expect("next finished inside the run")
+        .start_time;
+    assert_eq!(started, exit + SimDuration::from_millis(30));
+}
+
+#[test]
 fn cross_machine_kill_after_lands_exactly() {
     let node = |seed: u64| {
         Scenario::new(MachineConfig::nehalem_w3550().noiseless())
@@ -2100,26 +2115,411 @@ fn cluster_unknown_dependency_is_a_typed_error() {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Driver differentials: the round driver (dependency edges, scripted resume
+// handoffs, live policies) and the free-running pool must agree wherever
+// both can run a cluster.
+
 #[test]
-fn run_reactive_rejects_clusters_with_cross_machine_edges() {
-    let mut session = pipeline_cluster().build().unwrap();
+fn zero_policy_run_reactive_is_byte_identical_to_run_all_at_1_2_and_8_threads() {
+    let monitors = |m: MachineRef<'_>| -> Vec<Box<dyn Monitor + Send>> {
+        vec![
+            tool(if m.index.is_multiple_of(2) { 1 } else { 2 }),
+            Box::new(TopView::new().delay(SimDuration::from_secs(3))),
+        ]
+    };
+    let mut pool = cluster().build().unwrap();
     let mut sink = ClusterCollectSink::new();
-    let err = session
-        .run_reactive(
+    pool.run_all(1, 5, monitors, &mut sink).unwrap();
+    let golden = rendered(sink.frames());
+    for threads in [1, 2, 8] {
+        let mut session = cluster().build().unwrap();
+        let mut sink = ClusterCollectSink::new();
+        let applied = session
+            .run_reactive(threads, 5, monitors, &mut [], &mut sink)
+            .unwrap();
+        assert!(applied.is_empty(), "no policy, no decision");
+        assert_eq!(
+            golden,
+            rendered(sink.frames()),
+            "{threads} workers: run_reactive without policies must match run_all"
+        );
+    }
+}
+
+/// `cluster()`'s shape with a short `blip` job on node-0 and, optionally,
+/// one cross-machine edge that never shows in the stream: node-1 spawns
+/// `late` a minute after `blip` exits, long after the last observation.
+fn inert_edge_cluster(edge: bool) -> ClusterScenario {
+    let nehalem = |seed: u64, cpi: f64| {
+        Scenario::new(MachineConfig::nehalem_w3550().noiseless())
+            .seed(seed)
+            .user(Uid(1), "u1")
+            .spawn("spin", SpawnSpec::new("spin", Uid(1), spin(cpi)).seed(seed))
+    };
+    let node1 = if edge {
+        nehalem(2, 0.9).spawn_after(
+            "blip",
+            SimDuration::from_secs(60),
+            "late",
+            work("late", 1.0, 1_000_000, 10),
+        )
+    } else {
+        nehalem(2, 0.9)
+    };
+    ClusterScenario::new()
+        .machine(
+            "node-0",
+            nehalem(1, 0.8).spawn("blip", work("blip", 0.8, 1_000_000_000, 9)),
+        )
+        .machine("node-1", node1)
+        .machine("node-2", nehalem(3, 1.0))
+}
+
+#[test]
+fn inert_cross_machine_edge_is_byte_identical_to_no_edge_at_1_2_and_8_threads() {
+    let run = |edge: bool, threads: usize| {
+        let mut session = inert_edge_cluster(edge).build().unwrap();
+        let frames = session
+            .run_collect(threads, 5, |m: MachineRef<'_>| {
+                tool(if m.index.is_multiple_of(2) { 1 } else { 2 })
+            })
+            .unwrap();
+        let late = session.session("node-1").unwrap().pid("late");
+        (rendered(&frames), late)
+    };
+    let (golden, _) = run(false, 1);
+    for threads in [1, 2, 8] {
+        let (stream, late) = run(true, threads);
+        assert_eq!(
+            golden, stream,
+            "{threads} workers: an edge that fires after the run must not change one byte"
+        );
+        assert!(
+            late.is_none(),
+            "the edge's spawn lands after the last frame"
+        );
+    }
+}
+
+#[test]
+fn last_run_stats_counts_the_frames_of_every_driver() {
+    let mut session = reactive_pair().build().unwrap();
+    let mut sink = ClusterCollectSink::new();
+    session
+        .run_all(
             2,
             3,
             |_| vec![tool(1) as Box<dyn Monitor + Send>],
-            &mut [],
+            &mut sink,
+        )
+        .unwrap();
+    assert_eq!(session.last_run_stats().frames, 6);
+
+    // A reactive run after a pool run reports its own numbers.
+    let mut sink = ClusterCollectSink::new();
+    session
+        .run_reactive(2, 5, |_| vec![tool(1)], &mut [], &mut sink)
+        .unwrap();
+    let stats = session.last_run_stats();
+    assert_eq!(stats.frames, sink.frames().len());
+    assert_eq!(stats.frames, 10);
+    assert_eq!(
+        (
+            stats.batches,
+            stats.peak_buffered_frames,
+            stats.peak_buffered_bytes
+        ),
+        (0, 0, 0),
+        "the round driver sends no batches and buffers nothing"
+    );
+
+    // So does a dependency-edge run.
+    let mut session = pipeline_cluster().build().unwrap();
+    let frames = session.run_collect(2, 4, |_| tool(1)).unwrap();
+    assert_eq!(session.last_run_stats().frames, frames.len());
+    assert_eq!(frames.len(), 12);
+}
+
+/// `pipeline_cluster()` plus two machines off the DAG: node-3 runs an
+/// endless background job that a policy may move to node-4.
+fn pipeline_with_background() -> ClusterScenario {
+    let node = |seed: u64| {
+        Scenario::new(MachineConfig::nehalem_w3550().noiseless())
+            .seed(seed)
+            .user(Uid(1), "u1")
+    };
+    pipeline_cluster()
+        .machine(
+            "node-3",
+            node(44).spawn("bg", SpawnSpec::new("bg", Uid(1), spin(0.9)).seed(6)),
+        )
+        .machine("node-4", node(55))
+}
+
+#[test]
+fn live_policy_in_a_dependency_dag_is_byte_identical_and_keeps_stage_instants() {
+    let run_at = |threads: usize, with_policy: bool| {
+        let mut session = pipeline_with_background().build().unwrap();
+        let mut policies: Vec<Box<dyn SchedulerPolicy>> = if with_policy {
+            vec![Box::new(MigrateOnSeq {
+                machine: "node-3",
+                on_seq: 1,
+                decision: MigrationDecision {
+                    tag: "bg".to_string(),
+                    from: "node-3".to_string(),
+                    to: "node-4".to_string(),
+                    mode: MigrationMode::Restart,
+                },
+                fired: false,
+            })]
+        } else {
+            Vec::new()
+        };
+        let mut sink = ClusterCollectSink::new();
+        let applied = session
+            .run_reactive(threads, 5, |_| vec![tool(1)], &mut policies, &mut sink)
+            .unwrap();
+        let instant = |machine: &str, tag: &str, end: bool| {
+            let s = session.session(machine).unwrap();
+            let pid = s.pid(tag).unwrap_or_else(|| panic!("{tag} never spawned"));
+            let rec = s
+                .kernel()
+                .exit_record(pid)
+                .unwrap_or_else(|| panic!("{tag} never exited"));
+            if end {
+                rec.end_time
+            } else {
+                rec.start_time
+            }
+        };
+        let stages = vec![
+            instant("node-0", "extract", true),
+            instant("node-1", "map-a", false),
+            instant("node-2", "map-b", false),
+            instant("node-0", "sort-a", false),
+            instant("node-0", "sort-b", false),
+        ];
+        let bg_on_4 = session.session("node-4").unwrap().pid("bg").is_some();
+        (rendered(sink.frames()), applied, stages, bg_on_4)
+    };
+
+    let (free, none, free_stages, moved) = run_at(1, false);
+    assert!(none.is_empty() && !moved);
+    let (golden, applied, stages, moved) = run_at(1, true);
+    assert_eq!(applied.len(), 1, "the policy fired once");
+    assert_eq!(applied[0].decided_at, SimTime::from_secs(2));
+    assert_eq!(applied[0].applied_at.as_nanos(), 2_020_000_000);
+    assert!(moved, "bg lives on node-4 after the decision");
+    assert_ne!(golden, free, "the migration shows in the stream");
+    assert_eq!(
+        stages, free_stages,
+        "every stage fires at the instant it fires without the policy"
+    );
+    // Fan-out and fan-in stay exact.
+    assert_eq!(stages[1], stages[0] + SimDuration::from_millis(100));
+    assert_eq!(stages[2], stages[0] + SimDuration::from_millis(250));
+
+    for threads in [2, 8] {
+        let (stream, applied_n, stages_n, _) = run_at(threads, true);
+        assert_eq!(golden, stream, "{threads} workers must not change one byte");
+        assert_eq!(applied_n[0].applied_at, applied[0].applied_at);
+        assert_eq!(stages_n, stages);
+        assert_eq!(free, run_at(threads, false).0);
+    }
+}
+
+#[test]
+fn live_decision_moving_an_unresolved_dependency_is_a_typed_error() {
+    // `after` waits on `long`, from node-b (a cross-machine edge the
+    // cluster resolves) or from node-a itself (a same-machine edge the
+    // session resolves). Moving `long` would fire or strand the edge.
+    let node = |seed: u64| {
+        Scenario::new(MachineConfig::nehalem_w3550().noiseless())
+            .seed(seed)
+            .user(Uid(1), "u1")
+    };
+    let after = || work("after", 1.0, 1_000_000, 2);
+    for (same_machine, mode) in [
+        (false, MigrationMode::Resume),
+        (true, MigrationMode::Restart),
+    ] {
+        let a = node(1).spawn("long", work("long", 0.8, 20_000_000_000, 1));
+        let (a, b) = if same_machine {
+            (
+                a.spawn_after("long", SimDuration::ZERO, "after", after()),
+                node(2),
+            )
+        } else {
+            (
+                a,
+                node(2).spawn_after("long", SimDuration::ZERO, "after", after()),
+            )
+        };
+        let mut session = ClusterScenario::new()
+            .machine("node-a", a)
+            .machine("node-b", b)
+            .build()
+            .unwrap();
+        let mut policies: Vec<Box<dyn SchedulerPolicy>> = vec![Box::new(MigrateOnSeq {
+            machine: "node-a",
+            on_seq: 0,
+            decision: MigrationDecision {
+                tag: "long".to_string(),
+                from: "node-a".to_string(),
+                to: "node-b".to_string(),
+                mode,
+            },
+            fired: false,
+        })];
+        let mut sink = ClusterCollectSink::new();
+        let err = session
+            .run_reactive(2, 4, |_| vec![tool(1)], &mut policies, &mut sink)
+            .unwrap_err();
+        assert!(
+            matches!(&err, SessionError::InvalidDecision(msg) if msg.contains("dependency")),
+            "same_machine={same_machine}: expected a typed InvalidDecision, got: {err}"
+        );
+        assert_eq!(sink.frames().len(), 2, "the deciding round was delivered");
+        assert!(session.handovers().is_empty(), "nothing migrated");
+
+        // The edge still stands and the cluster stays runnable.
+        session.run_collect(2, 2, |_| tool(1)).unwrap();
+        let on = |m: &str| session.session(m).unwrap();
+        assert!(on("node-a").pid("long").is_some());
+        assert!(on("node-a").pid("after").is_none() && on("node-b").pid("after").is_none());
+    }
+}
+
+#[test]
+fn run_reactive_delivers_then_errors_without_policies_and_halts_with_them() {
+    let monitors = |m: MachineRef<'_>| -> Vec<Box<dyn Monitor + Send>> {
+        if m.id == "node-1" {
+            vec![Box::new(PanicMonitor {
+                inner: *tool(1),
+                observations: 0,
+                panic_on: 2,
+            })]
+        } else {
+            vec![tool(1)]
+        }
+    };
+    let is_node1_panic = |e: &SessionError| matches!(e, SessionError::ShardPanicked { machine, .. } if machine == "node-1");
+
+    // The deliver-then-error reference: run_each on the free-running pool.
+    let mut pool = cluster().build().unwrap();
+    let mut sink = ClusterCollectSink::new();
+    let err = pool
+        .run_each(
+            2,
+            4,
+            |m| monitors(m).pop().unwrap(),
+            |_| Box::new(|_| false),
             &mut sink,
         )
         .unwrap_err();
-    match err {
-        SessionError::InvalidScenario(msg) => {
-            assert!(
-                msg.contains("not supported by run_reactive"),
-                "unexpected message: {msg}"
-            );
-        }
-        other => panic!("expected a typed rejection, got: {other}"),
+    assert!(is_node1_panic(&err), "{err}");
+    let golden = rendered(sink.frames());
+
+    // Without policies nothing watches the stream: every healthy frame is
+    // delivered, then the error returns.
+    for threads in [1, 2, 8] {
+        let mut session = cluster().build().unwrap();
+        let mut sink = ClusterCollectSink::new();
+        let err = session
+            .run_reactive(threads, 4, monitors, &mut [], &mut sink)
+            .unwrap_err();
+        assert!(is_node1_panic(&err), "{err}");
+        assert_eq!(golden, rendered(sink.frames()), "{threads} workers");
+        assert!(session.session("node-1").is_none(), "torn session withheld");
+        assert!(session.session("node-0").is_some());
     }
+
+    // With a policy watching, the run halts at the barrier of the round
+    // that failed: t=1 in full, then t=2's healthy frames.
+    let mut session = cluster().build().unwrap();
+    let mut sink = ClusterCollectSink::new();
+    let mut policies: Vec<Box<dyn SchedulerPolicy>> = vec![Box::new(MigrateOnSeq {
+        machine: "node-0",
+        on_seq: usize::MAX,
+        decision: MigrationDecision {
+            tag: "spin".to_string(),
+            from: "node-0".to_string(),
+            to: "node-2".to_string(),
+            mode: MigrationMode::Restart,
+        },
+        fired: false,
+    })];
+    let err = session
+        .run_reactive(2, 4, monitors, &mut policies, &mut sink)
+        .unwrap_err();
+    assert!(is_node1_panic(&err), "{err}");
+    assert_eq!(sink.frames().len(), 7);
+    assert!(sink
+        .frames()
+        .iter()
+        .all(|f| f.frame.time <= SimTime::from_secs(2)));
+    assert!(session.session("node-1").is_none());
+    assert!(session.session("node-0").is_some());
+}
+
+/// Records the host thread of every observation.
+struct ThreadProbe {
+    inner: Tiptop,
+    seen: std::sync::Arc<std::sync::Mutex<Vec<std::thread::ThreadId>>>,
+}
+
+impl Monitor for ThreadProbe {
+    fn name(&self) -> &str {
+        "probe"
+    }
+
+    fn interval(&self) -> SimDuration {
+        Monitor::interval(&self.inner)
+    }
+
+    fn prime(&mut self, k: &mut Kernel) {
+        self.inner.prime(k);
+    }
+
+    fn observe(&mut self, k: &mut Kernel) -> Frame {
+        self.seen.lock().unwrap().push(std::thread::current().id());
+        Monitor::observe(&mut self.inner, k)
+    }
+}
+
+#[test]
+fn a_round_with_one_due_machine_runs_on_the_calling_thread() {
+    // Staggered intervals (1000, 1001, 1002, 1003 ms): no two machines
+    // share an instant within five refreshes, so every round has exactly
+    // one due machine.
+    let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+    let mut session = cluster().build().unwrap();
+    let mut sink = ClusterCollectSink::new();
+    session
+        .run_reactive(
+            4,
+            5,
+            |m| {
+                let delay = SimDuration::from_millis(1000 + m.index as u64);
+                vec![Box::new(ThreadProbe {
+                    inner: Tiptop::new(
+                        TiptopOptions::default().observer(Uid::ROOT).delay(delay),
+                        ScreenConfig::default_screen(),
+                    ),
+                    seen: seen.clone(),
+                }) as Box<dyn Monitor + Send>]
+            },
+            &mut [],
+            &mut sink,
+        )
+        .unwrap();
+    assert_eq!(sink.frames().len(), 20);
+    let seen = seen.lock().unwrap();
+    assert_eq!(seen.len(), 20);
+    let here = std::thread::current().id();
+    assert!(
+        seen.iter().all(|&id| id == here),
+        "one due machine per round must advance inline"
+    );
 }

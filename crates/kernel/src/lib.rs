@@ -2,7 +2,7 @@
 //!
 //! The simulated operating-system layer of the Tiptop reproduction. It sits
 //! between the hardware model ([`tiptop_machine`]) and the monitoring tool
-//! (`tiptop-core`), exposing exactly the interfaces the real tool consumes
+//! (`tiptop-core`), exposing exactly the interfaces the real tool uses
 //! on Linux:
 //!
 //! * **Tasks & scheduler** — threads/processes with `nice`, `taskset`-style
